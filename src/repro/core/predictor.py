@@ -215,7 +215,9 @@ class WorkloadPredictor:
         # and the per-model-version decision memo used by determine_batch
         # (two-touch admission: a key is memoized on its second miss, so
         # never-repeated requests cannot pollute the cache).
-        self._grid_cache: dict[tuple[str, int, int], np.ndarray] = {}
+        self._grid_cache: dict[
+            tuple[str, int, int], tuple[np.ndarray, dict[tuple, int]]
+        ] = {}
         self._vm_rate = (
             prices.vm_per_second
             + prices.vm_burst_per_second
@@ -425,12 +427,18 @@ class WorkloadPredictor:
         memoized; the returned array is marked read-only because every
         caller shares the same instance.
         """
+        return self._indexed_grid(mode, max_vm, max_sl)[0]
+
+    def _indexed_grid(
+        self, mode: str, max_vm: int | None, max_sl: int | None
+    ) -> tuple[np.ndarray, dict[tuple, int]]:
+        """The memoized candidate grid plus each ``(nVM, nSL)`` row's index."""
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {_MODES}")
         eff_vm, eff_sl = self._effective_bounds(max_vm, max_sl)
         key = (mode, eff_vm, eff_sl)
-        grid = self._grid_cache.get(key)
-        if grid is None:
+        cached = self._grid_cache.get(key)
+        if cached is None:
             vm_range = (
                 np.arange(eff_vm + 1) if mode != "sl-only" else np.zeros(1)
             )
@@ -443,8 +451,12 @@ class WorkloadPredictor:
             grid = np.column_stack((vm.ravel(), sl.ravel())).astype(np.float64)
             grid = grid[grid.sum(axis=1) > 0]
             grid.setflags(write=False)
-            self._grid_cache[key] = grid
-        return grid
+            positions = {
+                point: index
+                for index, point in enumerate(map(tuple, grid.tolist()))
+            }
+            cached = self._grid_cache[key] = (grid, positions)
+        return cached
 
     def determine(
         self,
@@ -462,15 +474,33 @@ class WorkloadPredictor:
         tradeoff knob (Eq. 4) when requested.  ``max_vm`` / ``max_sl``
         cap the candidate search below the predictor's bounds (tenant
         quota caps; see :meth:`candidate_grid`).
+
+        Computed once per call: one forest pass over the whole candidate
+        grid (the per-tree matrix every probe and the Estimated Time list
+        read from) and, inside the optimizer, the candidate Gram matrix.
+        Computed per probe: the Eq. 2 noise draw, the GP's rank-1 update
+        and one acquisition pass.  The result is bit-exact with probing
+        the forest one configuration at a time: a probe's ``RF_t`` is the
+        tree matrix's row-wise mean over the probed candidate -- the same
+        reduction a one-row ``predict_duration`` performs -- and the
+        Estimated Time list is the column-wise mean over the probed
+        columns, i.e. a batched ``predict_durations`` over them.
         """
         if not self.is_trained:
             raise RuntimeError("the prediction model has not been trained")
         started = time.perf_counter()
-        candidates = self.candidate_grid(mode, max_vm=max_vm, max_sl=max_sl)
+        candidates, positions = self._indexed_grid(mode, max_vm, max_sl)
+        trees = self._forest.packed().tree_matrix(
+            request.feature_matrix(candidates)
+        )
+        # RF_t per candidate: row-wise means of a contiguous copy of the
+        # transposed matrix, so numpy sums each candidate's tree
+        # predictions pairwise -- exactly as the mean over a one-row pass
+        # (``predict_duration``) does.
+        candidate_seconds = np.ascontiguousarray(trees.T).mean(axis=1).tolist()
 
         def objective(point: np.ndarray) -> float:
-            n_vm, n_sl = int(point[0]), int(point[1])
-            predicted = self.predict_duration(request.feature_vector(n_vm, n_sl))
+            predicted = candidate_seconds[positions[tuple(point.tolist())]]
             # Eq. 2: maximise -(RF_t + delta), delta ~ N(0, sigma).
             delta = self._rng.normal(0.0, 0.01 * max(predicted, 1.0))
             return -(predicted + delta)
@@ -486,14 +516,19 @@ class WorkloadPredictor:
         )
         result = optimizer.maximize(max_iterations=max_iterations)
 
-        # One batched forest pass covers every probe plus the winner --
-        # the noise-free counterpart of the noisy Eq. 2 objective values --
-        # and one batched cost pass prices the whole Estimated Time list,
-        # which stays in array form end to end.
-        probe_points = np.array(
-            [probe.point for probe in result.history] + [result.best_point]
-        )
-        estimates = self.predict_durations(request.feature_matrix(probe_points))
+        # The noise-free counterparts of the noisy Eq. 2 values: every
+        # probe plus the winner, as one column-wise mean over a C-ordered
+        # copy of their tree columns (``take``; a fancy-index copy comes
+        # out Fortran-ordered and would be summed pairwise).  There are
+        # always at least two columns, so numpy accumulates tree by tree
+        # exactly as a batched predict over those rows does -- even for
+        # a one-candidate grid.  One batched cost pass then prices the
+        # whole Estimated Time list, which stays in array form.
+        probe_indices = [
+            positions[probe.point] for probe in result.history
+        ] + [positions[result.best_point]]
+        probe_points = candidates[probe_indices]
+        estimates = trees.take(probe_indices, axis=1).mean(axis=0)
         costs = self.estimate_costs(estimates, probe_points)
         decision_grid = DecisionGrid(
             probe_points[:-1], estimates[:-1], costs[:-1]

@@ -11,6 +11,17 @@ the paper's "1 % for 10 consecutive searches" rule (Section 3.1).
 The optimizer records every probe in :attr:`BOResult.history`; Smartpick's
 tradeoff knob later traverses that list (the paper's *Estimated Time list*,
 ``ET_l``) to pick a cheaper configuration within the latency tolerance.
+
+The surrogate lives in candidate-index space.  Once per :meth:`maximize`
+the Matern Gram matrix over the whole candidate set is built in one kernel
+call; the GP then conditions on candidate indices through a
+:class:`~repro.ml.kernels.PrecomputedKernel`, so each probe costs one
+objective evaluation, one rank-1 Cholesky extension and one acquisition
+pass over the unprobed candidates -- all covariances are Gram lookups.
+For integer-valued candidates (Smartpick's ``{nVM, nSL}`` counts) the
+pair distances are exact, so every lookup equals the freshly computed
+kernel value and the probe sequence is bit-for-bit the one a
+coordinate-space GP would produce.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import numpy as np
 
 from repro.ml.acquisition import AcquisitionFunction, ProbabilityOfImprovement
 from repro.ml.gaussian_process import GaussianProcessRegressor
-from repro.ml.kernels import Matern52Kernel
+from repro.ml.kernels import Matern52Kernel, PrecomputedKernel
 
 __all__ = ["BayesianOptimizer", "BOResult", "Probe"]
 
@@ -106,12 +117,11 @@ class BayesianOptimizer:
         self.n_initial = min(n_initial, self.candidates.shape[0])
         self.improvement_threshold = improvement_threshold
         self.patience = patience
+        self._noise = noise
         self._rng = np.random.default_rng(rng)
         if length_scale is None:
             length_scale = self._default_length_scale(self.candidates)
-        self._surrogate = GaussianProcessRegressor(
-            kernel=Matern52Kernel(length_scale=length_scale), noise=noise
-        )
+        self._kernel = Matern52Kernel(length_scale=length_scale)
 
     @staticmethod
     def _default_length_scale(candidates: np.ndarray) -> float:
@@ -130,6 +140,13 @@ class BayesianOptimizer:
             raise ValueError("max_iterations must be at least 1")
 
         n_candidates = self.candidates.shape[0]
+        # The surrogate's points are candidate indices (one float column);
+        # its kernel reads the candidate Gram built here, once.
+        gram = self._kernel(self.candidates, self.candidates)
+        surrogate = GaussianProcessRegressor(
+            kernel=PrecomputedKernel(gram), noise=self._noise
+        )
+        indices = np.arange(n_candidates, dtype=np.float64)[:, None]
         unprobed = np.ones(n_candidates, dtype=bool)
         history: list[Probe] = []
         best_value = -np.inf
@@ -146,7 +163,9 @@ class BayesianOptimizer:
             if probe_queue:
                 index = int(probe_queue.pop(0))
             else:
-                index = self._next_index(unprobed, best_value)
+                index = self._next_index(
+                    surrogate, indices, unprobed, best_value
+                )
                 if index < 0:
                     converged = True
                     break
@@ -154,7 +173,7 @@ class BayesianOptimizer:
             point = self.candidates[index]
             value = float(self.objective(point))
             history.append(Probe(tuple(point.tolist()), value))
-            self._surrogate.add_observation(point, value)
+            surrogate.add_observation(indices[index], value)
 
             if self._improved(value, best_value):
                 best_value = value
@@ -189,14 +208,18 @@ class BayesianOptimizer:
         margin = self.improvement_threshold * max(abs(best_value), 1e-12)
         return value > best_value + margin
 
-    def _next_index(self, unprobed: np.ndarray, best_value: float) -> int:
+    def _next_index(
+        self,
+        surrogate: GaussianProcessRegressor,
+        indices: np.ndarray,
+        unprobed: np.ndarray,
+        best_value: float,
+    ) -> int:
         """Pick the unprobed candidate with the highest acquisition score."""
         remaining = np.nonzero(unprobed)[0]
         if remaining.size == 0:
             return -1
-        mean, std = self._surrogate.predict(
-            self.candidates[remaining], return_std=True
-        )
+        mean, std = surrogate.predict(indices[remaining], return_std=True)
         scores = self.acquisition(mean, std, best_value)
         # Randomised argmax so ties do not always resolve to the lowest index.
         top = np.nonzero(scores == scores.max())[0]

@@ -7,9 +7,24 @@ newer data points" (Section 3.1).  This module implements the textbook exact
 GP (Rasmussen & Williams, Algorithm 2.1): posterior mean and variance from a
 Cholesky factorisation of the kernel matrix, with incremental observation
 updates so the BO loop can add one point per iteration cheaply.
+
+The regressor never looks at coordinates itself -- only its kernel does --
+so the BO loop can hand it a :class:`~repro.ml.kernels.PrecomputedKernel`
+and condition on candidate *indices*: the same code path, with every
+covariance read from a Gram matrix built once per search.
+
+The BO loop solves against the factor a few dozen times per search, on
+matrices of a few dozen rows, where scipy's per-call wrapping (finiteness
+scans, batching and dispatch) costs more than the LAPACK work itself.
+Points and targets are validated on entry and every other input is a
+kernel value, so the solves call LAPACK's ``trtrs`` / ``potrs`` directly,
+with the arguments ``scipy.linalg.solve_triangular`` / ``cho_solve``
+would pass, so the results are bitwise the same.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +32,40 @@ import scipy.linalg
 from repro.ml.kernels import Kernel, Matern52Kernel
 
 __all__ = ["GaussianProcessRegressor"]
+
+_trtrs = scipy.linalg.lapack.dtrtrs
+_potrs = scipy.linalg.lapack.dpotrs
+
+
+def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``solve_triangular(factor, rhs, lower=True)`` as one LAPACK call.
+
+    Mirrors scipy's dispatch: a Fortran-ordered factor is solved as is, a
+    C-ordered one as its (Fortran-ordered) upper-triangular transpose.
+    The two forms round differently, so the choice must follow scipy's
+    for the bits to match.
+    """
+    if factor.flags.f_contiguous:
+        solved, info = _trtrs(factor, rhs, lower=1)
+    else:
+        solved, info = _trtrs(factor.T, rhs, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
+    return solved
+
+
+def _cho_solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``cho_solve((factor, True), rhs)`` as one LAPACK call."""
+    solved, info = _potrs(factor, rhs, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky solve failed (info={info})")
+    return solved
+
+
+def _finite(points: np.ndarray) -> np.ndarray:
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    return points
 
 
 class GaussianProcessRegressor:
@@ -64,6 +113,8 @@ class GaussianProcessRegressor:
             raise ValueError("points and targets disagree on sample count")
         if points.shape[0] == 0:
             raise ValueError("cannot fit a GP on zero observations")
+        if not np.all(np.isfinite(targets)):
+            raise ValueError("targets must be finite")
 
         self._train_points = points
         self._train_targets = targets
@@ -89,16 +140,19 @@ class GaussianProcessRegressor:
         extension is numerically unsafe (non-positive Schur complement
         from a near-duplicate point at tiny noise).
         """
-        point = np.atleast_2d(np.asarray(point, dtype=np.float64))
+        point = _finite(np.atleast_2d(np.asarray(point, dtype=np.float64)))
         if point.shape[0] != 1:
             raise ValueError("add_observation takes exactly one point")
+        target = float(target)
+        if not math.isfinite(target):
+            raise ValueError("targets must be finite")
         if self._train_points is None:
             self.fit(point, np.array([target]))
             return
         assert self._train_targets is not None
         extended = self._extend_cholesky(point)
         self._train_points = np.vstack([self._train_points, point])
-        self._train_targets = np.append(self._train_targets, float(target))
+        self._train_targets = np.append(self._train_targets, target)
         if self.normalize_targets:
             self._target_mean = float(self._train_targets.mean())
             std = float(self._train_targets.std())
@@ -120,7 +174,7 @@ class GaussianProcessRegressor:
             return False
         cross = self.kernel(self._train_points, point).ravel()
         kappa = float(self.kernel(point, point)[0, 0]) + self.noise**2 + 1e-10
-        column = scipy.linalg.solve_triangular(self._cholesky, cross, lower=True)
+        column = _solve_lower(self._cholesky, cross)
         schur = kappa - float(column @ column)
         if schur <= 1e-12:
             return False
@@ -135,13 +189,15 @@ class GaussianProcessRegressor:
     def _resolve_alpha(self) -> None:
         assert self._train_targets is not None and self._cholesky is not None
         normalized = (self._train_targets - self._target_mean) / self._target_std
-        self._alpha = scipy.linalg.cho_solve((self._cholesky, True), normalized)
+        self._alpha = _cho_solve_lower(self._cholesky, normalized)
 
     def _refactor(self) -> None:
         assert self._train_points is not None and self._train_targets is not None
         gram = self.kernel(self._train_points, self._train_points)
         gram = gram + (self.noise**2 + 1e-10) * np.eye(gram.shape[0])
-        self._cholesky = scipy.linalg.cholesky(gram, lower=True)
+        self._cholesky = scipy.linalg.cholesky(
+            gram, lower=True, check_finite=False
+        )
         self._resolve_alpha()
 
     # ------------------------------------------------------------------
@@ -166,7 +222,7 @@ class GaussianProcessRegressor:
         mean = cross @ self._alpha * self._target_std + self._target_mean
         if not return_std:
             return mean
-        solved = scipy.linalg.solve_triangular(self._cholesky, cross.T, lower=True)
+        solved = _solve_lower(self._cholesky, cross.T)
         variance = self.kernel.diagonal(points) - np.sum(solved**2, axis=0)
         np.maximum(variance, 1e-12, out=variance)
         return mean, np.sqrt(variance) * self._target_std
@@ -192,7 +248,7 @@ class GaussianProcessRegressor:
             return prior
         assert self._cholesky is not None
         cross = self.kernel(points, self._train_points)
-        solved = scipy.linalg.solve_triangular(self._cholesky, cross.T, lower=True)
+        solved = _solve_lower(self._cholesky, cross.T)
         cov = prior - solved.T @ solved
         # Clip tiny negative eigen-noise from finite precision.
         return cov + 1e-10 * np.eye(points.shape[0])
@@ -223,4 +279,4 @@ class GaussianProcessRegressor:
             array = array[:, None]
         if array.ndim != 2:
             raise ValueError("points must be at most 2-D")
-        return array
+        return _finite(array)

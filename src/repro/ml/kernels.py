@@ -3,6 +3,10 @@
 The BO surrogate in Smartpick is a Gaussian Process regressor (Section 3.1).
 These kernels provide its covariance structure.  All kernels operate on 2-D
 arrays of shape ``(n, d)`` and return Gram matrices of shape ``(n, m)``.
+
+:class:`PrecomputedKernel` is the exception that makes the BO loop cheap:
+over a fixed finite candidate set the Gram matrix is built once and the
+GP's "points" become candidate indices, so every covariance is a lookup.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "WhiteKernel",
     "SumKernel",
     "ScaledKernel",
+    "PrecomputedKernel",
 ]
 
 
@@ -214,3 +219,40 @@ class ScaledKernel(Kernel):
 
     def __repr__(self) -> str:
         return f"{self.scale} * {self.base!r}"
+
+
+class PrecomputedKernel(Kernel):
+    """A kernel over candidate *indices*, read from a precomputed Gram.
+
+    ``gram`` is ``K(candidates, candidates)`` for some base kernel ``K``;
+    the points this kernel takes are ``(n, 1)`` arrays of row indices
+    into ``candidates`` (integer-valued floats, so a GP can carry them as
+    ordinary coordinates).  ``__call__`` and :meth:`diagonal` then slice
+    the Gram instead of evaluating ``K``.  Whenever ``K``'s value at a
+    pair depends only on the exactly computed pair distance -- e.g.
+    integer-valued candidates, whose squared distances are exact in
+    float64 -- the slices are bitwise the matrices ``K`` would build.
+    """
+
+    def __init__(self, gram: np.ndarray) -> None:
+        gram = np.asarray(gram, dtype=np.float64)
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+            raise ValueError("gram must be a square matrix")
+        self.gram = gram
+        self._diagonal = np.diagonal(gram).copy()
+
+    @staticmethod
+    def _indices(points: np.ndarray) -> np.ndarray:
+        array = _as_matrix(points)
+        if array.shape[1] != 1:
+            raise ValueError("precomputed-kernel points are (n, 1) indices")
+        return array[:, 0].astype(np.intp)
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.gram[self._indices(a)[:, None], self._indices(b)]
+
+    def diagonal(self, a: np.ndarray) -> np.ndarray:
+        return self._diagonal[self._indices(a)]
+
+    def __repr__(self) -> str:
+        return f"PrecomputedKernel(n={self.gram.shape[0]})"

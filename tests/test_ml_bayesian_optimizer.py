@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from repro.ml import (
     BayesianOptimizer,
@@ -62,6 +63,51 @@ class TestAcquisitions:
             ExpectedImprovement(xi=-0.1)
         with pytest.raises(ValueError):
             UpperConfidenceBound(kappa=-1.0)
+
+
+def _dense_z() -> np.ndarray:
+    """A dense z grid plus the edge values the normal tails hinge on."""
+    edges = [0.0, -0.0, 40.0, -40.0, 1e-300, -1e-300, 5e-324, 38.5, -38.5]
+    return np.concatenate([np.linspace(-45.0, 45.0, 90_001), edges])
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestAcquisitionBitwise:
+    """PI / EI are pinned bitwise to their ``scipy.stats.norm`` forms."""
+
+    @pytest.mark.parametrize("std", [1.0, 0.37, 1e-12])
+    def test_pi_matches_norm_cdf(self, std):
+        z = _dense_z()
+        xi = 0.01
+        mean = z * std + xi
+        scores = ProbabilityOfImprovement(xi=xi)(mean, np.full(z.shape, std), 0.0)
+        reference = norm.cdf((mean - 0.0 - xi) / np.maximum(std, 1e-12))
+        assert np.array_equal(_bits(scores), _bits(reference))
+
+    @pytest.mark.parametrize("std", [1.0, 0.37, 1e-12])
+    def test_ei_matches_norm_cdf_and_pdf(self, std):
+        z = _dense_z()
+        xi = 0.01
+        mean = z * std + xi
+        stds = np.full(z.shape, std)
+        scores = ExpectedImprovement(xi=xi)(mean, stds, 0.0)
+        improvement = mean - 0.0 - xi
+        ref_z = improvement / stds
+        reference = improvement * norm.cdf(ref_z) + stds * norm.pdf(ref_z)
+        assert np.array_equal(_bits(scores), _bits(reference))
+
+    def test_unit_normal_on_exact_z(self):
+        # std = 1 and best = xi = 0 make the scores the raw cdf and
+        # z * cdf + pdf of the grid itself.
+        z = _dense_z()
+        ones = np.ones_like(z)
+        pi = ProbabilityOfImprovement(xi=0.0)(z, ones, 0.0)
+        ei = ExpectedImprovement(xi=0.0)(z, ones, 0.0)
+        assert np.array_equal(_bits(pi), _bits(norm.cdf(z)))
+        assert np.array_equal(_bits(ei), _bits(z * norm.cdf(z) + norm.pdf(z)))
 
 
 def _grid_1d(n=101):
